@@ -31,6 +31,7 @@ HOT_PATH_SUFFIXES: tuple[str, ...] = (
     "repro/core/ops.py",
     "repro/subseq/window.py",
     "repro/subseq/stindex.py",
+    "repro/scan/seqscan.py",
 )
 
 #: REP003 — modules that must import the array API through

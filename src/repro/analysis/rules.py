@@ -89,6 +89,44 @@ def _rowwise_trigger(iter_expr: ast.expr) -> Optional[str]:
     return None
 
 
+def _sizes(tree: ast.Module) -> dict[str, set[str]]:
+    """Names bound to an array's size (``m = x.shape[0]``, ``m = len(x)``),
+    mapped to those arrays (dumped)."""
+    sizes: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        target = node.targets[0]
+        if not isinstance(target, ast.Name):
+            continue
+        for sub in ast.walk(node.value):
+            if isinstance(sub, ast.Attribute) and sub.attr == "shape":
+                sizes.setdefault(target.id, set()).add(ast.dump(sub.value))
+            elif isinstance(sub, ast.Call) and _call_name(sub) == "len" and sub.args:
+                sizes.setdefault(target.id, set()).add(ast.dump(sub.args[0]))
+    return sizes
+
+
+def _sized_row_loop(node: ast.For, sizes: dict[str, set[str]]) -> Optional[str]:
+    """``for i in range(m)`` whose body reads ``x[i]``, ``m`` being x's size."""
+    loop_var, it = node.target, node.iter
+    if (not isinstance(loop_var, ast.Name) or not isinstance(it, ast.Call)
+            or _call_name(it) != "range"):
+        return None
+    arrays: set[str] = set()
+    for arg in it.args:
+        if isinstance(arg, ast.Name):
+            arrays |= sizes.get(arg.id, set())
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Subscript) and ast.dump(sub.value) in arrays:
+            index = sub.slice
+            if isinstance(index, ast.Tuple) and index.elts:
+                index = index.elts[0]
+            if isinstance(index, ast.Name) and index.id == loop_var.id:
+                return f"range() over a row count, reads {ast.unparse(sub)}"
+    return None
+
+
 @register(
     "REP001",
     "no scalar Python loops over array rows in hot-path modules "
@@ -99,10 +137,11 @@ def rep001_no_scalar_loops(
 ) -> Iterator[Violation]:
     if not contracts.is_hot_path(path, source):
         return
+    sizes = _sizes(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.For):
             continue
-        trigger = _rowwise_trigger(node.iter)
+        trigger = _rowwise_trigger(node.iter) or _sized_row_loop(node, sizes)
         if trigger is None:
             continue
         yield Violation(

@@ -45,7 +45,7 @@ from repro.rtree.backend import xp
 from repro.core import queries as q
 from repro.core.transforms import Transformation
 from repro.rtree.kernel import FrontierStats
-from repro.scan import scan_knn, scan_range, scan_range_many
+from repro.scan import scan_knn, scan_knn_many, scan_range, scan_range_many
 
 Match = tuple[int, float]
 
@@ -271,7 +271,7 @@ class SeqScan(Operator):
     A complete access path on its own: scanning the relation of spectra
     with early-abandoning distances both filters and verifies, so no
     separate :class:`Verify` stage follows it.  Handles range and k-NN,
-    single queries and batches (the batch path hoists the transformation
+    single queries and batches (the batch paths hoist the transformation
     over the relation once).
     """
 
@@ -293,32 +293,16 @@ class SeqScan(Operator):
         self.batch = batch
 
     def _execute(self, ctx: ExecContext):
-        engine = ctx.engine
-        spectra = engine.ground_spectra
         if ctx.budget is not None:
             # The scan is one fused pass; the deadline is checked at entry
             # (its runtime is bounded by the relation, not the query).
             ctx.budget.check(where="seq scan")
         if self.kind == "range":
-            if self.batch:
-                return scan_range_many(
-                    spectra, self.query_spectra, self.eps,
-                    transformation=self.transformation, stats=ctx.stats,
-                )
-            return scan_range(
-                spectra, self.query_spectra, self.eps,
-                transformation=self.transformation, stats=ctx.stats,
-            )
-        if self.batch:
-            return [
-                scan_knn(
-                    spectra, q_spec, self.k,
-                    transformation=self.transformation, stats=ctx.stats,
-                )
-                for q_spec in self.query_spectra
-            ]
-        return scan_knn(
-            spectra, self.query_spectra, self.k,
+            scan, bound = (scan_range_many if self.batch else scan_range), self.eps
+        else:
+            scan, bound = (scan_knn_many if self.batch else scan_knn), self.k
+        return scan(
+            ctx.engine.ground_spectra, self.query_spectra, bound,
             transformation=self.transformation, stats=ctx.stats,
         )
 

@@ -77,7 +77,8 @@ def euclidean_early_abandon(
 
 
 def batch_euclidean_within(
-    matrix: ArrayLike, q: ArrayLike, eps: float, block: int = 8
+    matrix: ArrayLike, q: ArrayLike, eps: float, block: int = 8,
+    transformation: Optional[Transformation] = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Batched :func:`euclidean_early_abandon` of many rows against ``q``.
 
@@ -86,6 +87,10 @@ def batch_euclidean_within(
     row is dropped from the active set as soon as its partial sum exceeds
     ``eps**2`` — the same abandonment rule as the scalar path, evaluated as
     a handful of numpy calls instead of one Python loop per row.
+
+    A diagonal ``transformation`` is applied to each column block of the
+    still-active rows as it is read: bit-identical to transforming the
+    whole matrix first, without the transformed copy.
 
     Real-valued inputs (e.g. raw subsequence windows rather than spectra)
     stay in float64 throughout — same accumulation order and results as
@@ -99,7 +104,9 @@ def batch_euclidean_within(
     """
     if eps < 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
-    is_complex = np.iscomplexobj(matrix) or np.iscomplexobj(q)
+    is_complex = (
+        np.iscomplexobj(matrix) or np.iscomplexobj(q) or transformation is not None
+    )
     dtype = np.complex128 if is_complex else np.float64
     a = np.asarray(matrix, dtype=dtype)
     b = np.asarray(q, dtype=dtype)
@@ -112,7 +119,11 @@ def batch_euclidean_within(
     for start in range(0, n, block):
         if active.size == 0:
             break
-        seg = a[active, start : start + block] - b[start : start + block]
+        cols = slice(start, start + block)
+        seg = a[active, cols]
+        if transformation is not None:
+            seg = transformation.a[cols] * seg + transformation.b[cols]
+        seg -= b[cols]  # ``seg`` is always a fresh copy (fancy indexing)
         sq = seg.real**2 + seg.imag**2 if is_complex else np.square(seg)
         acc[active] += np.sum(sq, axis=1)
         keep = acc[active] <= limit

@@ -14,8 +14,6 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.dft import dft
-
 ArrayLike = Union[Sequence[float], np.ndarray]
 
 
@@ -143,7 +141,3 @@ class SequenceRelation:
     def _check(self, record_id: int) -> None:
         if not 0 <= record_id < len(self._rows):
             raise KeyError(f"record id {record_id} out of range [0, {len(self._rows)})")
-
-    @staticmethod
-    def _unitary(x: np.ndarray) -> np.ndarray:
-        return dft(x)

@@ -38,14 +38,6 @@ RectDistManyFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 PointDistManyFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _euclid_rect(rect: Rect, point: np.ndarray) -> float:
-    return rect.mindist(point)
-
-
-def _euclid_point(p: np.ndarray, q: np.ndarray) -> float:
-    return float(np.linalg.norm(p - q))
-
-
 def _euclid_point_many(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.linalg.norm(points - q, axis=1)
 

@@ -5,26 +5,66 @@ The paper is careful to race its index against a *good* sequential scan
 domain**, so that the large leading coefficients let the distance
 computation abandon most sequences after a few terms, and each distance
 computation stops as soon as it exceeds ``eps``.  These functions implement
-exactly that (plus an untuned time-domain variant for calibration).
+exactly that (plus an untuned variant for calibration), each query as one
+matrix pass that abandons rows block by block across the whole relation.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Optional, Sequence, Union
+from typing import Optional
 
-import numpy as np
-
-from repro.core.similarity import euclidean_early_abandon
+from repro.core.similarity import batch_euclidean_within
 from repro.core.transforms import Transformation
+from repro.rtree.backend import xp
 from repro.storage.stats import IOStats
 
-ArrayLike = Union[Sequence[float], np.ndarray]
+
+def _ordered(ids: xp.ndarray, dists: xp.ndarray) -> list[tuple[int, float]]:
+    """``(id, distance)`` pairs sorted by ``(distance, id)``."""
+    order = xp.lexsort((ids, dists))
+    return list(zip(ids[order].tolist(), dists[order].tolist()))
+
+
+def _hoisted(spectra: xp.ndarray, t: Optional[Transformation]) -> xp.ndarray:
+    return spectra if t is None else t.apply_spectrum(spectra)
+
+
+def _knn(
+    spectra: xp.ndarray, q: xp.ndarray, k: int, t: Optional[Transformation]
+) -> list[tuple[int, float]]:
+    """The ``k`` rows nearest ``q``, ties broken by the smaller id.
+
+    One early-abandoning range pass at a radius that provably holds them:
+    the largest full distance among the ``k`` rows nearest on the leading
+    eight coefficients (where a spectrum's energy concentrates).  The
+    distances are the range kernel's, bit for bit.
+    """
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    if k == 0 or spectra.shape[0] == 0:
+        return []
+
+    def within(rows: xp.ndarray, query: xp.ndarray, eps: float) -> tuple:
+        return batch_euclidean_within(rows, query, eps, block=4, transformation=t)
+
+    radius = float("inf")
+    if k < spectra.shape[0]:
+        _, lead, _ = within(spectra[:, :8], q[:8], radius)
+        _, near, _ = within(spectra[xp.argpartition(lead, k - 1)[:k]], q, radius)
+        # Widened past sqrt/square rounding so the bounding rows stay in.
+        radius = float(near.max()) * (1 + 1e-12)
+    ids, dists, _ = within(spectra, q, radius)
+    if k < ids.shape[0]:
+        # Rows tied with the k-th distance all stay; the order keeps the
+        # smallest ids among them.
+        keep = dists <= xp.partition(dists, k - 1)[k - 1]
+        ids, dists = ids[keep], dists[keep]
+    return _ordered(ids, dists)[:k]
 
 
 def scan_range(
-    ground_spectra: np.ndarray,
-    query_spectrum: np.ndarray,
+    ground_spectra: xp.ndarray,
+    query_spectrum: xp.ndarray,
     eps: float,
     transformation: Optional[Transformation] = None,
     early_abandon: bool = True,
@@ -38,39 +78,36 @@ def scan_range(
         query_spectrum: full spectrum of the query.
         eps: similarity threshold.
         transformation: applied to each record during the comparison
-            (the data side, matching Algorithm 2's semantics).
+            (the data side, matching Algorithm 2's semantics), one column
+            block of the still-active records at a time.
         early_abandon: stop each distance computation once it exceeds
             ``eps`` (the paper's optimisation; ``False`` gives the naive
-            scan).
+            scan: one full distance per record).
         block: coefficients accumulated per early-abandon step.
         stats: counter bundle.
 
     Returns:
         ``(record id, exact distance)`` pairs sorted by distance.
     """
-    out: list[tuple[int, float]] = []
-    m = ground_spectra.shape[0]
-    for i in range(m):
-        spec = ground_spectra[i]
-        if transformation is not None:
-            spec = transformation.apply_spectrum(spec)
-        if early_abandon:
-            d = euclidean_early_abandon(spec, query_spectrum, eps, block=block)
-            if d is not None:
-                out.append((i, d))
-        else:
-            d = float(np.linalg.norm(spec - query_spectrum))
-            if d <= eps:
-                out.append((i, d))
+    if early_abandon:
+        ids, dists, _ = batch_euclidean_within(
+            ground_spectra, query_spectrum, eps, block=block,
+            transformation=transformation,
+        )
+    else:
+        dists = xp.linalg.norm(
+            _hoisted(ground_spectra, transformation) - query_spectrum, axis=1
+        )
+        ids = xp.flatnonzero(dists <= eps)
+        dists = dists[ids]
     if stats is not None:
-        stats.distance_computations += m
-    out.sort(key=lambda t: (t[1], t[0]))
-    return out
+        stats.distance_computations += ground_spectra.shape[0]
+    return _ordered(ids, dists)
 
 
 def scan_range_many(
-    ground_spectra: np.ndarray,
-    query_spectra: np.ndarray,
+    ground_spectra: xp.ndarray,
+    query_spectra: xp.ndarray,
     eps: float,
     transformation: Optional[Transformation] = None,
     block: int = 4,
@@ -80,63 +117,48 @@ def scan_range_many(
 
     The transformation is hoisted over the whole relation once (O(records)
     applications instead of O(records × queries)), and each query is then
-    verified against all records with matrix-level early abandoning — the
-    same block-accumulation rule as the scalar scan, evaluated as a few
-    numpy calls per query.  Answer sets are identical to per-query
+    one early-abandoning matrix pass.  Answers are identical to per-query
     :func:`scan_range` calls.
     """
-    from repro.core.similarity import batch_euclidean_within
-
-    tspec = (
-        ground_spectra
-        if transformation is None
-        else transformation.apply_spectrum(ground_spectra)
-    )
-    records = ground_spectra.shape[0]
-    out: list[list[tuple[int, float]]] = []
-    for q_spec in np.asarray(query_spectra, dtype=np.complex128):
-        kept, dists, _ = batch_euclidean_within(tspec, q_spec, eps, block=block)
-        matches = [(int(i), float(d)) for i, d in zip(kept, dists)]
-        matches.sort(key=lambda t: (t[1], t[0]))
-        out.append(matches)
+    tspec = _hoisted(ground_spectra, transformation)
+    out = [
+        _ordered(*batch_euclidean_within(tspec, q_spec, eps, block=block)[:2])
+        for q_spec in xp.asarray(query_spectra, dtype=xp.complex128)
+    ]
     if stats is not None:
-        stats.distance_computations += records * len(out)
+        stats.distance_computations += ground_spectra.shape[0] * len(out)
     return out
 
 
 def scan_knn(
-    ground_spectra: np.ndarray,
-    query_spectrum: np.ndarray,
+    ground_spectra: xp.ndarray,
+    query_spectrum: xp.ndarray,
     k: int,
     transformation: Optional[Transformation] = None,
     stats: Optional[IOStats] = None,
 ) -> list[tuple[int, float]]:
-    """Exact k-NN by scanning, with a shrinking abandon threshold.
-
-    The current ``k``-th best distance serves as the early-abandon bound —
-    the scan analogue of branch-and-bound pruning.
+    """Exact k-NN by scanning, ordered by ``(distance, id)``.
 
     Edge cases match the index path's kernel contract: ``k == 0`` and an
     empty relation return ``[]``; ``k > m`` returns every record.
     """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    if k == 0:
-        return []
-    best: list[tuple[float, int]] = []  # max-heap by negated distance
-    m = ground_spectra.shape[0]
-    for i in range(m):
-        spec = ground_spectra[i]
-        if transformation is not None:
-            spec = transformation.apply_spectrum(spec)
-        if len(best) < k:
-            d = float(np.linalg.norm(spec - query_spectrum))
-            heapq.heappush(best, (-d, i))
-            continue
-        bound = -best[0][0]
-        d_opt = euclidean_early_abandon(spec, query_spectrum, bound)
-        if d_opt is not None and d_opt < bound:
-            heapq.heapreplace(best, (-d_opt, i))
-    if stats is not None:
-        stats.distance_computations += m
-    return sorted(((i, -nd) for nd, i in best), key=lambda t: (t[1], t[0]))
+    out = _knn(ground_spectra, query_spectrum, k, transformation)
+    if stats is not None and k > 0:
+        stats.distance_computations += ground_spectra.shape[0]
+    return out
+
+
+def scan_knn_many(
+    ground_spectra: xp.ndarray,
+    query_spectra: xp.ndarray,
+    k: int,
+    transformation: Optional[Transformation] = None,
+    stats: Optional[IOStats] = None,
+) -> list[list[tuple[int, float]]]:
+    """Batched :func:`scan_knn`; the transformation is hoisted over the
+    relation once, as in :func:`scan_range_many`."""
+    tspec = _hoisted(ground_spectra, transformation)
+    out = [_knn(tspec, q_spec, k, None) for q_spec in query_spectra]
+    if stats is not None and k > 0:
+        stats.distance_computations += ground_spectra.shape[0] * len(out)
+    return out

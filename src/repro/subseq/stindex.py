@@ -242,14 +242,16 @@ class STIndex:
     def _adaptive_starts(self, points: xp.ndarray) -> xp.ndarray:
         """Greedy adaptive cuts, evaluated over prefix extents per segment.
 
-        Same rule as the scalar :meth:`_group` reference: extend while the
-        MBR margin per enclosed point stays roughly flat, cut on a sharp
-        trail turn (or at the ``chunk`` cap).  Instead of updating running
-        extents one point at a time, each segment computes cumulative
-        min/max over its next ``chunk + 1`` points, derives every prefix's
-        margin in one pass, and locates the first offending cut with a
-        single vectorized comparison — one numpy pass per *sub-trail*
-        rather than per offset.
+        Extend while the MBR margin per enclosed point stays roughly flat,
+        cut on a sharp trail turn (or at the ``chunk`` cap); the 1.3 growth
+        factor and the minimum run of 4 keep smooth stock trails at ~chunk
+        offsets per MBR.  The scalar one-point-at-a-time form of this rule
+        is the parity oracle in ``tests/test_subseq_fast_parity.py``.
+        Instead of updating running extents one point at a time, each
+        segment computes cumulative min/max over its next ``chunk + 1``
+        points, derives every prefix's margin in one pass, and locates the
+        first offending cut with a single vectorized comparison — one numpy
+        pass per *sub-trail* rather than per offset.
         """
         m = points.shape[0]
         chunk = self.chunk
@@ -276,52 +278,6 @@ class STIndex:
             s += int(j[hits[0]])
             starts.append(s)
         return xp.asarray(starts, dtype=xp.int64)
-
-    def _group(self, points: xp.ndarray) -> list[tuple[int, int]]:
-        """Scalar reference grouping (one Python step per trail point).
-
-        Kept verbatim as the tested reference for
-        :meth:`_adaptive_starts`; see ``tests/test_subseq_fast_parity.py``.
-        """
-        m = points.shape[0]
-        if self.grouping == "fixed":
-            return [
-                (s, min(s + self.chunk - 1, m - 1)) for s in range(0, m, self.chunk)
-            ]
-        # Greedy adaptive: extend while the MBR margin per enclosed point
-        # stays roughly flat.  Smooth trails (consecutive windows overlap
-        # in w-1 values, so successive feature points are close) pack many
-        # offsets per MBR; a sharp trail turn raises the marginal cost and
-        # cuts the sub-trail.  The 1.3 growth factor and the minimum run of
-        # 4 keep smooth stock trails at ~chunk offsets per MBR instead of
-        # fragmenting on every small wiggle.
-        groups: list[tuple[int, int]] = []
-        start = 0
-        lo = points[0].copy()
-        hi = points[0].copy()
-        margin = 0.0
-        count = 1
-        for i in range(1, m):
-            new_lo = xp.minimum(lo, points[i])
-            new_hi = xp.maximum(hi, points[i])
-            new_margin = float(xp.sum(new_hi - new_lo))
-            grown_cost = new_margin / (count + 1)
-            old_cost = margin / count if count else 0.0
-            if count >= self.chunk or (
-                count >= 4 and old_cost > 0 and grown_cost > 1.3 * old_cost
-            ):
-                groups.append((start, i - 1))
-                start = i
-                lo = points[i].copy()
-                hi = points[i].copy()
-                margin = 0.0
-                count = 1
-            else:
-                lo, hi = new_lo, new_hi
-                margin = new_margin
-                count += 1
-        groups.append((start, m - 1))
-        return groups
 
     # ------------------------------------------------------------------
     # sealing: columnar metadata + bulk-loaded frozen tree

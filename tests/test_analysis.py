@@ -58,6 +58,31 @@ def test_rep001_counts_both_loop_shapes() -> None:
     assert len(report.violations) == 2  # range(.shape) and zip(...)
 
 
+ROW_COUNT_LOOP = """\
+# repro: module-contract(hot-path)
+def scan(rows, q):
+    m = rows.shape[0]
+    out = []
+    for i in range(m):
+        out.append(float(abs(rows[i] - q).sum()))
+    return out
+"""
+
+
+def test_rep001_flags_row_loop_over_a_row_count_local() -> None:
+    report = LintEngine(rules=["REP001"]).check_source(ROW_COUNT_LOOP, "hot.py")
+    assert [v.line for v in report.violations] == [5]
+    assert "rows[i]" in report.violations[0].message
+
+
+def test_rep001_row_count_local_without_row_reads_passes() -> None:
+    # A loop bounded by a row count that never reads a row of that array
+    # (per-query bookkeeping, column blocks) is not a row loop.
+    source = ROW_COUNT_LOOP.replace("rows[i] - q", "q[i]")
+    report = LintEngine(rules=["REP001"]).check_source(source, "hot.py")
+    assert report.violations == []
+
+
 def test_rep002_flags_method_param_and_producer_stores() -> None:
     report = LintEngine(rules=["REP002"]).check_file(FIXTURES / "rep002_flag.py")
     lines = sorted(v.line for v in report.violations)
